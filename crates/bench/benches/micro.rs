@@ -209,6 +209,7 @@ fn main() {
     bench_system_replay(&mut c);
 
     // Export µs/iter per micro bench to the cross-PR perf report.
+    use droplet::obs::json;
     use droplet_bench::bench_json;
     let entries: Vec<(String, String)> = c
         .take_results()
@@ -221,7 +222,7 @@ fn main() {
         })
         .collect();
     let path = bench_json::default_report_path();
-    bench_json::write_section(&path, "micro_us_per_iter", &bench_json::object(&entries))
+    bench_json::write_section(&path, "micro_us_per_iter", &json::object(&entries))
         .expect("write BENCH_engine.json");
     println!("wrote section \"micro_us_per_iter\" to {}", path.display());
 }

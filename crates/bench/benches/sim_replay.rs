@@ -18,6 +18,7 @@
 use criterion::{Criterion, Throughput};
 use droplet::gap::Algorithm;
 use droplet::graph::{Dataset, DatasetScale};
+use droplet::obs::json;
 use droplet::{run_workload, run_workload_scalar, PrefetcherKind, SystemConfig};
 use droplet_bench::bench_json;
 use std::sync::Arc;
@@ -97,20 +98,17 @@ fn main() {
         let ops_per_sec = r.elements_per_sec().unwrap_or(0.0);
         configs.push((
             r.name.clone(),
-            bench_json::object(&[
-                ("us_per_iter".into(), format!("{:.3}", r.median_ns / 1e3)),
-                ("ops_per_sec".into(), format!("{ops_per_sec:.0}")),
+            json::object(&[
+                ("us_per_iter", format!("{:.3}", r.median_ns / 1e3)),
+                ("ops_per_sec", format!("{ops_per_sec:.0}")),
             ]),
         ));
     }
-    let section = bench_json::object(&[
-        ("trace".into(), bench_json::quote("pr/kron-tiny")),
-        ("ops".into(), OPS.to_string()),
-        (
-            "hot_lane_digest_match".into(),
-            u64::from(lane_match).to_string(),
-        ),
-        ("configs".into(), bench_json::object(&configs)),
+    let section = json::object(&[
+        ("trace", json::quote("pr/kron-tiny")),
+        ("ops", OPS.to_string()),
+        ("hot_lane_digest_match", u64::from(lane_match).to_string()),
+        ("configs", json::object(&configs)),
     ]);
     let path = bench_json::default_report_path();
     bench_json::write_section(&path, "sim_replay", &section).expect("write BENCH_engine.json");

@@ -20,6 +20,7 @@
 use droplet::datasets::WorkloadSpec;
 use droplet::experiments::prefetch_study::run_study;
 use droplet::experiments::ExperimentCtx;
+use droplet::obs::json;
 use droplet::PrefetcherKind;
 use droplet_bench::bench_json;
 use std::time::Instant;
@@ -74,7 +75,7 @@ fn main() {
     };
 
     let mut pairs = vec![
-        ("scale".into(), bench_json::quote("tiny")),
+        ("scale".into(), json::quote("tiny")),
         ("budget".into(), ctx.budget.to_string()),
         ("warmup".into(), ctx.warmup.to_string()),
     ];
@@ -85,11 +86,11 @@ fn main() {
         forked_by_threads.push(forked_ms);
         pairs.push((
             format!("t{threads}"),
-            bench_json::object(&[
-                ("full_replay_ms".into(), format!("{full_ms:.0}")),
-                ("forked_ms".into(), format!("{forked_ms:.0}")),
+            json::object(&[
+                ("full_replay_ms", format!("{full_ms:.0}")),
+                ("forked_ms", format!("{forked_ms:.0}")),
                 (
-                    "fork_speedup".into(),
+                    "fork_speedup",
                     format!("{:.3}", full_ms / forked_ms.max(1e-9)),
                 ),
             ]),
@@ -103,7 +104,7 @@ fn main() {
         ),
     ));
 
-    let section = bench_json::object(&pairs);
+    let section = json::object(&pairs);
     let path = bench_json::default_report_path();
     bench_json::write_section(&path, "study_wall_ms", &section).expect("write BENCH_engine.json");
     println!("wrote section \"study_wall_ms\" to {}", path.display());

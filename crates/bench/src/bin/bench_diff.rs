@@ -30,7 +30,7 @@
 //! ratio. `--section` restricts both the display and the gate to one
 //! top-level section (e.g. `sim_replay`).
 
-use droplet_bench::bench_json::split_top_level;
+use droplet::obs::json::split_top_level;
 use std::process::ExitCode;
 
 struct Args {
@@ -82,16 +82,15 @@ fn parse_args() -> Result<Args, String> {
 
 /// Flattens one parsed report into sorted `(dot.path, value)` numeric
 /// leaves. Non-numeric, non-object leaves (strings, nulls) are skipped.
-fn flatten(pairs: &[(String, String)], prefix: &str, out: &mut Vec<(String, f64)>) {
+fn flatten(pairs: &[(String, &str)], prefix: &str, out: &mut Vec<(String, f64)>) {
     for (k, v) in pairs {
         let path = if prefix.is_empty() {
             k.clone()
         } else {
             format!("{prefix}.{k}")
         };
-        let v = v.trim();
         if v.starts_with('{') {
-            if let Some(inner) = split_top_level(v) {
+            if let Ok(inner) = split_top_level(v) {
                 flatten(&inner, &path, out);
             }
         } else if let Ok(x) = v.parse::<f64>() {
@@ -106,7 +105,7 @@ fn flatten(pairs: &[(String, String)], prefix: &str, out: &mut Vec<(String, f64)
 fn load(path: &str) -> Result<Vec<(String, f64)>, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let mut leaves = Vec::new();
-    if let Some(pairs) = split_top_level(&text) {
+    if let Ok(pairs) = split_top_level(&text) {
         flatten(&pairs, "", &mut leaves);
     } else {
         let lines: Vec<&str> = text
@@ -116,7 +115,7 @@ fn load(path: &str) -> Result<Vec<(String, f64)>, String> {
             .collect();
         let last = lines
             .last()
-            .and_then(|l| split_top_level(l))
+            .and_then(|l| split_top_level(l).ok())
             .ok_or_else(|| format!("{path}: neither a JSON report nor a JSONL journal"))?;
         flatten(&last, "", &mut leaves);
         leaves.push(("epochs".to_string(), lines.len() as f64));

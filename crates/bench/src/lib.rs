@@ -25,12 +25,11 @@ pub fn ctx_from_env() -> ExperimentCtx {
         Ok("sim") | Err(_) => DatasetScale::Sim,
         Ok(other) => panic!("unknown DROPLET_SCALE {other:?} (want tiny/small/sim)"),
     };
-    let mut ctx = ExperimentCtx::at(scale);
-    if let Ok(budget) = std::env::var("DROPLET_BUDGET") {
-        ctx.budget = budget.parse().expect("DROPLET_BUDGET must be an integer");
-        ctx.warmup = (ctx.budget / 4) as usize;
+    let ctx = ExperimentCtx::at(scale);
+    match std::env::var("DROPLET_BUDGET") {
+        Ok(budget) => ctx.with_budget(budget.parse().expect("DROPLET_BUDGET must be an integer")),
+        Err(_) => ctx,
     }
-    ctx
 }
 
 /// Prints the standard bench banner.

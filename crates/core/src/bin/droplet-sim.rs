@@ -12,15 +12,13 @@
 //! (DESIGN.md §15); `info` lists algorithms, datasets and configurations.
 
 use droplet::experiments::ExperimentCtx;
-use droplet::obs::ObsConfig;
 use droplet::report::Table;
-use droplet::specparse;
+use droplet::specparse::{self, SpecBuilder, SpecField};
 use droplet::trace::{columnar, open_columnar, TraceSource};
 use droplet::{
-    run_sweep, run_workload, run_workload_from, PrefetcherKind, RunResult, SweepCell, WorkloadSpec,
+    run_sweep, run_workload, run_workload_from, PrefetcherKind, RunResult, RunSpec, SpecError,
+    SweepCell,
 };
-use droplet_cache::ReplacementPolicy;
-use droplet_gap::Algorithm;
 use droplet_graph::{Dataset, DatasetScale, DegreeStats};
 use droplet_trace::DataType;
 
@@ -48,50 +46,33 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-/// Unwraps a shared-spec-parse result, printing the offending flag and
-/// value to stderr (the same field-level message `droplet-serve` returns
-/// as an HTTP 400) before the usage text.
-fn flag_value<T>(parsed: Result<T, droplet::SpecError>) -> T {
+/// Unwraps a parsed flag value, printing the offending flag and value to
+/// stderr — the same field-level message `droplet-serve` returns as an
+/// HTTP 400, under the flag's spelling (`--l1-policy`, not `l1_policy`) —
+/// before the usage text.
+fn flag_value<T>(flag: &str, parsed: Result<T, SpecError>) -> T {
     parsed.unwrap_or_else(|e| {
-        eprintln!("error: --{e}");
+        let field = flag.trim_start_matches('-').to_string();
+        eprintln!("error: --{}", SpecError { field, ..e });
         usage()
     })
 }
 
+/// The command-line flags that are not spec fields.
 #[derive(Default)]
 struct Args {
-    algo: Option<Algorithm>,
-    dataset: Option<Dataset>,
-    prefetcher: Option<PrefetcherKind>,
-    scale: Option<DatasetScale>,
-    budget: Option<u64>,
     threads: Option<usize>,
     obs_path: Option<String>,
-    epoch_ops: Option<u64>,
     fork: Option<bool>,
     trace_file: Option<String>,
-    l1_policy: Option<ReplacementPolicy>,
-    l2_policy: Option<ReplacementPolicy>,
-    l3_policy: Option<ReplacementPolicy>,
 }
 
-impl Args {
-    /// Applies the per-level replacement-policy overrides to `base`.
-    fn apply_policies(&self, mut base: droplet::SystemConfig) -> droplet::SystemConfig {
-        if let Some(p) = self.l1_policy {
-            base = base.with_l1_policy(p);
-        }
-        if let Some(p) = self.l2_policy {
-            base = base.with_l2_policy(p);
-        }
-        if let Some(p) = self.l3_policy {
-            base = base.with_l3_policy(p);
-        }
-        base
-    }
-}
-
-fn parse_flags(rest: &[String]) -> Args {
+/// Splits the command line into the spec — every `--<field>` flag of
+/// [`SPEC_FIELDS`](specparse::SPEC_FIELDS) goes through the same table the
+/// `droplet-serve` JSON bodies do — and the CLI-only flags. A missing
+/// `--algo` or `--dataset` prints the usage.
+fn parse_flags(rest: &[String]) -> (RunSpec, Args) {
+    let mut spec = SpecBuilder::default();
     let mut args = Args::default();
     let mut it = rest.iter();
     while let Some(flag) = it.next() {
@@ -111,44 +92,24 @@ fn parse_flags(rest: &[String]) -> Args {
             eprintln!("error: {flag}: missing value");
             usage()
         };
-        // Field names match the droplet-serve spec fields, so the CLI and
-        // the HTTP 400 responses report identical diagnostics.
         match flag.as_str() {
-            "--algo" => args.algo = Some(flag_value(specparse::parse_algo("algo", value))),
-            "--dataset" => {
-                args.dataset = Some(flag_value(specparse::parse_dataset("dataset", value)))
-            }
-            "--prefetcher" => {
-                args.prefetcher = Some(flag_value(specparse::parse_prefetcher("prefetcher", value)))
-            }
-            "--scale" => args.scale = Some(flag_value(specparse::parse_scale("scale", value))),
-            "--budget" => args.budget = Some(flag_value(specparse::parse_u64("budget", value))),
             "--threads" => {
-                args.threads = Some(flag_value(specparse::parse_positive_usize(
-                    "threads", value,
-                )))
+                let n = specparse::parse_positive_usize("threads", value);
+                args.threads = Some(flag_value(flag, n));
             }
             "--obs" => args.obs_path = Some(value.clone()),
-            "--epoch-ops" => {
-                args.epoch_ops = Some(flag_value(specparse::parse_u64("epoch-ops", value)))
-            }
             "--trace-file" => args.trace_file = Some(value.clone()),
-            "--l1-policy" => {
-                args.l1_policy = Some(flag_value(specparse::parse_policy("l1-policy", value)))
-            }
-            "--l2-policy" => {
-                args.l2_policy = Some(flag_value(specparse::parse_policy("l2-policy", value)))
-            }
-            "--l3-policy" => {
-                args.l3_policy = Some(flag_value(specparse::parse_policy("l3-policy", value)))
-            }
-            _ => {
-                eprintln!("error: {flag}: unknown flag");
-                usage()
-            }
+            _ => match SpecField::for_flag(flag) {
+                Some(field) => flag_value(flag, spec.set(field.name, value)),
+                None => {
+                    eprintln!("error: {flag}: unknown flag");
+                    usage()
+                }
+            },
         }
     }
-    args
+    let spec = spec.finish(DatasetScale::Small).unwrap_or_else(|_| usage());
+    (spec, args)
 }
 
 /// Prints the shared-warm-up NOTE when any of the runs was forked from a
@@ -274,26 +235,14 @@ fn cmd_info() {
 /// the bundle (load needs the address space and functional memory, which
 /// the artifact deliberately does not carry); load verifies the artifact's
 /// content digest against the rebuilt ops before replaying.
-fn cmd_trace(sub: &str, args: &Args) {
-    let (Some(algo), Some(dataset)) = (args.algo, args.dataset) else {
-        usage()
-    };
+fn cmd_trace(sub: &str, spec: &RunSpec, args: &Args) {
     let Some(file) = &args.trace_file else {
         usage()
     };
-    let scale = args.scale.unwrap_or(DatasetScale::Small);
-    let mut ctx = ExperimentCtx::at(scale);
-    if let Some(b) = args.budget {
-        ctx.budget = b;
-        ctx.warmup = (b / 4) as usize;
-    }
-    let spec = WorkloadSpec {
-        algorithm: algo,
-        dataset,
-        scale,
-    };
-    eprintln!("building {} at {scale:?} scale...", spec.label());
-    let bundle = ctx.trace(&spec);
+    let ctx = ExperimentCtx::at(spec.scale).with_budget(spec.budget);
+    let workload = spec.workload();
+    eprintln!("building {} at {:?} scale...", workload.label(), spec.scale);
+    let bundle = ctx.trace(&workload);
     match sub {
         "save" => {
             let encoded = columnar::encode(&bundle.ops);
@@ -334,14 +283,8 @@ fn cmd_trace(sub: &str, args: &Args) {
                     "owned buffer fallback"
                 }
             );
-            let kind = args.prefetcher.unwrap_or(PrefetcherKind::Droplet);
-            let cfg = args.apply_policies(if kind == PrefetcherKind::None {
-                ctx.base.clone()
-            } else {
-                ctx.base.with_prefetcher(kind)
-            });
-            let r = run_workload_from(&mut source, &bundle, &cfg, ctx.warmup);
-            report(&format!("{} (columnar replay)", kind.name()), &r);
+            let r = run_workload_from(&mut source, &bundle, &spec.config(&ctx.base), ctx.warmup);
+            report(&format!("{} (columnar replay)", spec.prefetcher.name()), &r);
         }
         _ => usage(),
     }
@@ -354,63 +297,46 @@ fn main() {
         "info" => cmd_info(),
         "trace" => {
             let Some(sub) = argv.get(2) else { usage() };
-            let args = parse_flags(&argv[3..]);
-            cmd_trace(sub, &args);
+            let (spec, args) = parse_flags(&argv[3..]);
+            cmd_trace(sub, &spec, &args);
         }
         "run" | "sweep" => {
-            let args = parse_flags(&argv[2..]);
-            let (Some(algo), Some(dataset)) = (args.algo, args.dataset) else {
-                usage()
-            };
-            let scale = args.scale.unwrap_or(DatasetScale::Small);
-            let mut ctx = ExperimentCtx::at(scale);
-            if let Some(b) = args.budget {
-                ctx.budget = b;
-                ctx.warmup = (b / 4) as usize;
+            let (mut spec, args) = parse_flags(&argv[2..]);
+            if args.obs_path.is_some() {
+                spec.epoch_ops.get_or_insert(10_000);
             }
+            let mut ctx = ExperimentCtx::at(spec.scale).with_budget(spec.budget);
             if let Some(n) = args.threads {
                 ctx = ctx.with_threads(n);
             }
             if let Some(fork) = args.fork {
                 ctx = ctx.with_fork_sweeps(fork);
             }
-            if args.obs_path.is_some() || args.epoch_ops.is_some() {
-                ctx.base.obs = Some(ObsConfig::every(args.epoch_ops.unwrap_or(10_000)));
-            }
-            ctx.base = args.apply_policies(ctx.base.clone());
-            let spec = WorkloadSpec {
-                algorithm: algo,
-                dataset,
-                scale,
-            };
-            eprintln!("building {} at {scale:?} scale...", spec.label());
-            let bundle = ctx.trace(&spec);
+            let workload = spec.workload();
+            eprintln!("building {} at {:?} scale...", workload.label(), spec.scale);
+            let bundle = ctx.trace(&workload);
             eprintln!(
                 "trace: {} ops ({} instructions), completed: {}",
                 bundle.ops.len(),
                 bundle.instructions,
                 bundle.completed
             );
+            let cell = |kind| SweepCell {
+                bundle: std::sync::Arc::clone(&bundle),
+                cfg: spec.config_for(&ctx.base, kind),
+            };
             if cmd == "run" {
-                let kind = args.prefetcher.unwrap_or(PrefetcherKind::Droplet);
+                let kind = spec.prefetcher;
                 let (base, main_run) = if kind != PrefetcherKind::None {
                     // Two configs sharing one hierarchy: share the warm-up.
-                    let cells = vec![
-                        SweepCell {
-                            bundle: std::sync::Arc::clone(&bundle),
-                            cfg: ctx.base.clone(),
-                        },
-                        SweepCell {
-                            bundle: std::sync::Arc::clone(&bundle),
-                            cfg: ctx.base.with_prefetcher(kind),
-                        },
-                    ];
+                    let cells = [cell(PrefetcherKind::None), cell(kind)];
                     let mut out = run_sweep(&ctx.pool, &cells, ctx.warmup, ctx.fork_sweeps);
                     let r = out.pop().expect("two sweep results");
                     let base = out.pop().expect("two sweep results");
                     (base, Some(r))
                 } else {
-                    (run_workload(&bundle, &ctx.base, ctx.warmup), None)
+                    let cfg = cell(PrefetcherKind::None).cfg;
+                    (run_workload(&bundle, &cfg, ctx.warmup), None)
                 };
                 report("baseline (no prefetch)", &base);
                 if let Some(r) = &main_run {
@@ -427,7 +353,7 @@ fn main() {
                     // Journal the configuration under test (the baseline
                     // when `--prefetcher none` made it the only run).
                     let r = main_run.as_ref().unwrap_or(&base);
-                    write_journal(path, r, &spec.label(), &ctx);
+                    write_journal(path, r, &workload.label(), &ctx);
                 }
             } else {
                 let mut t = Table::new(vec![
@@ -440,14 +366,10 @@ fn main() {
                 let mut kinds = PrefetcherKind::EVALUATED.to_vec();
                 kinds.push(PrefetcherKind::AdaptiveDroplet);
                 // Baseline plus every prefetcher over one shared warm-up.
-                let mut cells = vec![SweepCell {
-                    bundle: std::sync::Arc::clone(&bundle),
-                    cfg: ctx.base.clone(),
-                }];
-                cells.extend(kinds.iter().map(|&k| SweepCell {
-                    bundle: std::sync::Arc::clone(&bundle),
-                    cfg: ctx.base.with_prefetcher(k),
-                }));
+                let cells: Vec<SweepCell> = std::iter::once(PrefetcherKind::None)
+                    .chain(kinds.iter().copied())
+                    .map(cell)
+                    .collect();
                 let all = run_sweep(&ctx.pool, &cells, ctx.warmup, ctx.fork_sweeps);
                 let (base, results) = (&all[0], &all[1..]);
                 for (kind, r) in kinds.iter().zip(results) {

@@ -57,7 +57,13 @@ impl WorkloadSpec {
 
     /// Default warm-up prefix in ops (statistics start after it).
     pub fn default_warmup(scale: DatasetScale) -> usize {
-        (Self::default_budget(scale) / 4) as usize
+        Self::warmup_for(Self::default_budget(scale))
+    }
+
+    /// The warm-up prefix for a trace of `budget` ops: its first quarter.
+    /// Every front end (CLI, service, bench drivers) derives warm-up here.
+    pub fn warmup_for(budget: u64) -> usize {
+        (budget / 4) as usize
     }
 
     /// Builds the graph for this cell (weighted iff the algorithm needs

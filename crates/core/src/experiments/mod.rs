@@ -131,6 +131,15 @@ impl ExperimentCtx {
         }
     }
 
+    /// Overrides the trace budget; the warm-up follows it
+    /// ([`WorkloadSpec::warmup_for`]).
+    #[must_use]
+    pub fn with_budget(mut self, budget: u64) -> Self {
+        self.budget = budget;
+        self.warmup = WorkloadSpec::warmup_for(budget);
+        self
+    }
+
     /// Overrides the worker count (equivalent to `DROPLET_THREADS`).
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {

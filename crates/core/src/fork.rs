@@ -165,6 +165,7 @@ struct SnapSlot {
     cv: Condvar,
 }
 
+// The slot lock is never held across user code, so it never poisons.
 impl SnapSlot {
     fn fill(&self, snap: Result<Arc<WarmupSnapshot>, ()>) {
         *self.ready.lock().expect("snapshot slot poisoned") = Some(snap);

@@ -48,7 +48,7 @@ pub use fork::{
     WarmupSnapshot,
 };
 pub use pool::JobPool;
-pub use specparse::SpecError;
+pub use specparse::{RunSpec, SpecError};
 pub use system::{
     config_hash, run_workload, run_workload_from, run_workload_scalar, run_workload_with_stream,
     ForkMutation, HotLaneMutation, RunResult, System, SystemProbe, SystemSnapshot, SystemStats,

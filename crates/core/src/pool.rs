@@ -101,6 +101,7 @@ impl JobPool {
                         if i >= job_slots.len() {
                             break;
                         }
+                        // Slot locks are never held across user code, so they never poison.
                         let job = job_slots[i]
                             .lock()
                             .expect("job slot poisoned")

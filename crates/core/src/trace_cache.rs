@@ -41,20 +41,17 @@
 
 use crate::datasets::WorkloadSpec;
 use droplet_gap::TraceBundle;
-use droplet_obs::fnv1a;
+use droplet_obs::{fnv1a, lock_recover};
 use droplet_trace::columnar;
 use std::collections::HashMap;
 use std::fmt;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex};
 
-/// Locks `m`, recovering the data from a poisoned mutex. Safe here because
-/// every critical section in this module leaves its protected state valid
-/// at all times (slots are replaced wholesale; accounting entries are
-/// inserted/removed atomically from the map's point of view).
-fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
+// Every lock here recovers from poisoning (`lock_recover`): each critical
+// section in this module leaves its protected state valid at all times
+// (slots are replaced wholesale; accounting entries are inserted/removed
+// atomically from the map's point of view).
 
 type Key = (WorkloadSpec, u64);
 

@@ -15,8 +15,8 @@
 //!    snapshot equals the end-of-run [`RunResult`] counters exactly;
 //!    per-epoch deltas are derived at render time ([`RunJournal::epochs`]).
 //! 2. **Run journal** ([`RunJournal`]): the ring serialized as JSONL — one
-//!    self-contained object per epoch — using the same hand-rendered JSON
-//!    writer style as `bench_json` (no new dependencies).
+//!    self-contained object per epoch — rendered with [`json`], the
+//!    workspace's one JSON module (no new dependencies).
 //! 3. **Run manifest** ([`RunManifest`]): config hash, workload, warm-up
 //!    request/clamp, thread count, seed, and wall time, emitted alongside
 //!    every run so `results/*.txt` become reproducible artifacts.
@@ -34,7 +34,7 @@ use droplet_mem::DramStats;
 use droplet_prefetch::MppStats;
 use droplet_trace::{Cycle, DataType};
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// A live feed of a run's epoch JSONL lines, for consumers that want the
 /// journal *while the run is still simulating* (the `droplet-serve`
@@ -46,6 +46,8 @@ use std::sync::{Arc, Condvar, Mutex};
 /// [`EpochStream::next_line`] with a cursor. Pushing never touches
 /// simulated state, so streamed and unstreamed runs stay bit-identical.
 pub struct EpochStream {
+    /// Only rendered lines, always consistent, so locks recover from
+    /// poisoning: a panicked producer must not wedge readers.
     state: Mutex<StreamState>,
     cv: Condvar,
 }
@@ -56,10 +58,16 @@ struct StreamState {
     finished: bool,
 }
 
-/// Poisoning recovery: an `EpochStream` holds only rendered lines, which
-/// are always consistent, so a panicked producer must not wedge readers.
-fn stream_lock(m: &Mutex<StreamState>) -> std::sync::MutexGuard<'_, StreamState> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+/// Locks `m`, taking the data back from a poisoned mutex. For state that
+/// every critical section leaves valid at all times — so a panicked holder
+/// must not wedge the threads that come after it.
+pub fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// [`Condvar::wait`] with the same poison recovery as [`lock_recover`].
+pub fn wait_recover<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+    cv.wait(guard).unwrap_or_else(PoisonError::into_inner)
 }
 
 impl EpochStream {
@@ -73,7 +81,7 @@ impl EpochStream {
 
     /// Appends one rendered JSONL line and wakes blocked readers.
     pub fn push(&self, line: String) {
-        let mut s = stream_lock(&self.state);
+        let mut s = lock_recover(&self.state);
         s.lines.push(line);
         self.cv.notify_all();
     }
@@ -81,7 +89,7 @@ impl EpochStream {
     /// Marks the run over; blocked and future readers past the final line
     /// get `None`. Idempotent.
     pub fn finish(&self) {
-        let mut s = stream_lock(&self.state);
+        let mut s = lock_recover(&self.state);
         s.finished = true;
         self.cv.notify_all();
     }
@@ -89,7 +97,7 @@ impl EpochStream {
     /// The line at `cursor` (0-based), blocking until it is produced.
     /// `None` once the stream is finished and `cursor` is past the end.
     pub fn next_line(&self, cursor: usize) -> Option<String> {
-        let mut s = stream_lock(&self.state);
+        let mut s = lock_recover(&self.state);
         loop {
             if cursor < s.lines.len() {
                 return Some(s.lines[cursor].clone());
@@ -97,16 +105,13 @@ impl EpochStream {
             if s.finished {
                 return None;
             }
-            s = self
-                .cv
-                .wait(s)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            s = wait_recover(&self.cv, s);
         }
     }
 
     /// Lines pushed so far.
     pub fn len(&self) -> usize {
-        stream_lock(&self.state).lines.len()
+        lock_recover(&self.state).lines.len()
     }
 
     /// Whether no lines have been pushed yet.
@@ -116,13 +121,13 @@ impl EpochStream {
 
     /// Whether [`EpochStream::finish`] has been called.
     pub fn is_finished(&self) -> bool {
-        stream_lock(&self.state).finished
+        lock_recover(&self.state).finished
     }
 }
 
 impl std::fmt::Debug for EpochStream {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = stream_lock(&self.state);
+        let s = lock_recover(&self.state);
         f.debug_struct("EpochStream")
             .field("lines", &s.lines.len())
             .field("finished", &s.finished)
@@ -477,57 +482,54 @@ impl EpochMetrics {
     pub fn to_json(&self, cum: &ObsSnapshot, window_start: Cycle) -> String {
         use json::{num, object};
         object(&[
-            ("epoch".into(), self.index.to_string()),
-            ("ops".into(), self.ops.to_string()),
-            ("cycle".into(), self.cycle.to_string()),
-            ("ipc".into(), num(self.ipc)),
-            ("l1_mpki".into(), num(self.mpki[0])),
-            ("l2_mpki".into(), num(self.mpki[1])),
-            ("llc_mpki".into(), num(self.mpki[2])),
+            ("epoch", self.index.to_string()),
+            ("ops", self.ops.to_string()),
+            ("cycle", self.cycle.to_string()),
+            ("ipc", num(self.ipc)),
+            ("l1_mpki", num(self.mpki[0])),
+            ("l2_mpki", num(self.mpki[1])),
+            ("llc_mpki", num(self.mpki[2])),
             (
-                "llc_mpki_structure".into(),
+                "llc_mpki_structure",
                 num(self.llc_mpki_by_type[DataType::Structure.index()]),
             ),
             (
-                "llc_mpki_property".into(),
+                "llc_mpki_property",
                 num(self.llc_mpki_by_type[DataType::Property.index()]),
             ),
             (
-                "llc_mpki_intermediate".into(),
+                "llc_mpki_intermediate",
                 num(self.llc_mpki_by_type[DataType::Intermediate.index()]),
             ),
-            ("l2_hit_rate".into(), num(self.l2_hit_rate)),
-            ("bw_util".into(), num(self.bw_util)),
+            ("l2_hit_rate", num(self.l2_hit_rate)),
+            ("bw_util", num(self.bw_util)),
             (
-                "bw_util_cum".into(),
+                "bw_util_cum",
                 num(cum.dram.window_utilization(window_start, cum.cycle)),
             ),
-            ("bpki".into(), num(self.bpki)),
-            ("avg_queue_delay".into(), num(self.avg_queue_delay)),
-            ("mrb_len".into(), self.mrb_len.to_string()),
-            ("mrb_overflows".into(), self.mrb_overflows.to_string()),
+            ("bpki", num(self.bpki)),
+            ("avg_queue_delay", num(self.avg_queue_delay)),
+            ("mrb_len", self.mrb_len.to_string()),
+            ("mrb_overflows", self.mrb_overflows.to_string()),
             (
-                "pf_accuracy_structure".into(),
+                "pf_accuracy_structure",
                 num(self.pf_accuracy_by_type[DataType::Structure.index()]),
             ),
             (
-                "pf_accuracy_property".into(),
+                "pf_accuracy_property",
                 num(self.pf_accuracy_by_type[DataType::Property.index()]),
             ),
-            ("pf_coverage".into(), num(self.pf_coverage)),
-            ("pf_timeliness".into(), num(self.pf_timeliness)),
-            ("dram_demand".into(), self.dram_demand.to_string()),
-            ("dram_prefetch".into(), self.dram_prefetch.to_string()),
-            ("cum_instructions".into(), cum.instructions.to_string()),
+            ("pf_coverage", num(self.pf_coverage)),
+            ("pf_timeliness", num(self.pf_timeliness)),
+            ("dram_demand", self.dram_demand.to_string()),
+            ("dram_prefetch", self.dram_prefetch.to_string()),
+            ("cum_instructions", cum.instructions.to_string()),
             (
-                "cum_cycles".into(),
+                "cum_cycles",
                 cum.cycle.saturating_sub(window_start).to_string(),
             ),
-            (
-                "cum_dram_bus_busy".into(),
-                cum.dram.bus_busy_cycles.to_string(),
-            ),
-            ("cum_writebacks".into(), cum.writebacks.to_string()),
+            ("cum_dram_bus_busy", cum.dram.bus_busy_cycles.to_string()),
+            ("cum_writebacks", cum.writebacks.to_string()),
         ])
     }
 }
@@ -658,36 +660,33 @@ impl RunManifest {
     pub fn render_json(&self) -> String {
         json::object(&[
             (
-                "config_hash".into(),
+                "config_hash",
                 json::quote(&format!("{:016x}", self.config_hash)),
             ),
-            ("prefetcher".into(), json::quote(&self.prefetcher)),
-            ("policies".into(), json::quote(&self.policies)),
-            ("workload".into(), opt_json(&self.workload, true)),
-            ("trace_ops".into(), self.trace_ops.to_string()),
-            ("warmup_requested".into(), self.warmup_requested.to_string()),
-            ("warmup_applied".into(), self.warmup_applied.to_string()),
-            ("warmup_clamped".into(), self.warmup_clamped.to_string()),
+            ("prefetcher", json::quote(&self.prefetcher)),
+            ("policies", json::quote(&self.policies)),
+            ("workload", opt_json(&self.workload, true)),
+            ("trace_ops", self.trace_ops.to_string()),
+            ("warmup_requested", self.warmup_requested.to_string()),
+            ("warmup_applied", self.warmup_applied.to_string()),
+            ("warmup_clamped", self.warmup_clamped.to_string()),
             (
-                "warmup_boundary_cycle".into(),
+                "warmup_boundary_cycle",
                 self.warmup_boundary_cycle.to_string(),
             ),
-            ("threads".into(), opt_json(&self.threads, false)),
-            ("seed".into(), opt_json(&self.seed, false)),
-            ("epoch_ops".into(), opt_json(&self.epoch_ops, false)),
-            ("epochs".into(), opt_json(&self.epochs, false)),
-            ("wall_ms".into(), json::num(self.wall_ms)),
+            ("threads", opt_json(&self.threads, false)),
+            ("seed", opt_json(&self.seed, false)),
+            ("epoch_ops", opt_json(&self.epoch_ops, false)),
+            ("epochs", opt_json(&self.epochs, false)),
+            ("wall_ms", json::num(self.wall_ms)),
             (
-                "forked_from".into(),
+                "forked_from",
                 opt_json(&self.forked_from.map(|h| format!("{h:016x}")), true),
             ),
-            ("warmup_shared".into(), opt_json(&self.warmup_shared, false)),
+            ("warmup_shared", opt_json(&self.warmup_shared, false)),
+            ("trace_cache_len", opt_json(&self.trace_cache_len, false)),
             (
-                "trace_cache_len".into(),
-                opt_json(&self.trace_cache_len, false),
-            ),
-            (
-                "trace_cache_bytes".into(),
+                "trace_cache_bytes",
                 opt_json(&self.trace_cache_bytes, false),
             ),
         ])

@@ -14,13 +14,9 @@
 //! a failed cell by the caller — a poisoned job never wedges the registry
 //! (locks recover from poisoning, mirroring the trace-cache contract).
 
-use droplet_obs::EpochStream;
+use droplet_obs::{lock_recover, wait_recover, EpochStream};
 use std::collections::HashMap;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-
-fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
+use std::sync::{Arc, Condvar, Mutex};
 
 /// One in-flight job: completion state plus the live epoch stream.
 #[derive(Debug)]
@@ -55,10 +51,7 @@ impl<T> JobCell<T> {
         loop {
             match &*state {
                 CellState::Running => {
-                    state = self
-                        .done
-                        .wait(state)
-                        .unwrap_or_else(PoisonError::into_inner);
+                    state = wait_recover(&self.done, state);
                 }
                 CellState::Done(out) => return Ok(Arc::clone(out)),
                 CellState::Failed(msg) => return Err(msg.clone()),

@@ -13,6 +13,26 @@ use std::net::TcpStream;
 /// bytes, so anything bigger is a client error, not a workload.
 const MAX_BODY: usize = 64 * 1024;
 
+/// Longest accepted request or header line, newline included.
+const MAX_LINE: u64 = 8 * 1024;
+
+/// Most header lines accepted in one request.
+const MAX_HEADERS: usize = 100;
+
+fn invalid(msg: &str) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg)
+}
+
+/// [`BufRead::read_line`] that reads at most [`MAX_LINE`] bytes, so an
+/// endless line costs the server a bounded buffer.
+fn read_line_capped(reader: &mut impl BufRead, line: &mut String) -> io::Result<usize> {
+    let n = reader.take(MAX_LINE).read_line(line)?;
+    if n as u64 == MAX_LINE && !line.ends_with('\n') {
+        return Err(invalid("request line or header too long"));
+    }
+    Ok(n)
+}
+
 /// A parsed request: method, decoded path, query pairs, body.
 #[derive(Debug)]
 pub struct Request {
@@ -41,15 +61,12 @@ impl Request {
 pub fn read_request(stream: &TcpStream) -> io::Result<Option<Request>> {
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut line = String::new();
-    if reader.read_line(&mut line)? == 0 {
+    if read_line_capped(&mut reader, &mut line)? == 0 {
         return Ok(None);
     }
     let mut parts = line.split_whitespace();
     let (Some(method), Some(target)) = (parts.next(), parts.next()) else {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "malformed request line",
-        ));
+        return Err(invalid("malformed request line"));
     };
     let (path, query_text) = match target.split_once('?') {
         Some((p, q)) => (p.to_string(), q),
@@ -64,33 +81,33 @@ pub fn read_request(stream: &TcpStream) -> io::Result<Option<Request>> {
         })
         .collect();
     let mut content_length = 0usize;
-    loop {
+    for count in 0.. {
         let mut header = String::new();
-        if reader.read_line(&mut header)? == 0 {
+        if read_line_capped(&mut reader, &mut header)? == 0 {
             break;
         }
         let header = header.trim_end();
         if header.is_empty() {
             break;
         }
+        if count == MAX_HEADERS {
+            return Err(invalid("too many headers"));
+        }
         if let Some((name, value)) = header.split_once(':') {
             if name.eq_ignore_ascii_case("content-length") {
-                content_length = value.trim().parse().map_err(|_| {
-                    io::Error::new(io::ErrorKind::InvalidData, "bad content-length")
-                })?;
+                content_length = value
+                    .trim()
+                    .parse()
+                    .map_err(|_| invalid("bad content-length"))?;
             }
         }
     }
     if content_length > MAX_BODY {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "request body too large",
-        ));
+        return Err(invalid("request body too large"));
     }
     let mut body = vec![0u8; content_length];
     reader.read_exact(&mut body)?;
-    let body = String::from_utf8(body)
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "body is not UTF-8"))?;
+    let body = String::from_utf8(body).map_err(|_| invalid("body is not UTF-8"))?;
     Ok(Some(Request {
         method: method.to_string(),
         path,

@@ -1,9 +1,10 @@
 //! **droplet-serve** — a long-running experiment service over the DROPLET
 //! simulation engine (DESIGN.md §18).
 //!
-//! The service accepts experiment specs as flat JSON, validates them
-//! through the same [`droplet::specparse`] parsers the CLI uses, and
-//! schedules simulations on the shared [`droplet::JobPool`] and
+//! The service accepts experiment specs as flat JSON and validates them
+//! into a [`RunSpec`] through the one spec field table the CLI uses
+//! ([`droplet::specparse::SPEC_FIELDS`]), reading and writing JSON with
+//! the one JSON module, [`droplet_obs::json`]. It schedules simulations on the shared [`droplet::JobPool`] and
 //! [`droplet::TraceCache`] with warm-snapshot fork reuse across a sweep's
 //! cells. Two layers keep repeated work off the engine:
 //!
@@ -32,12 +33,10 @@
 
 pub mod dedupe;
 pub mod http;
-pub mod json;
 pub mod server;
-pub mod spec;
 pub mod store;
 
 pub use dedupe::{Claim, Inflight, JobCell};
+pub use droplet::RunSpec;
 pub use server::{spawn, RunOutcome, ServerHandle, ServerOptions, ServerState, Submission};
-pub use spec::RunSpec;
 pub use store::ResultStore;

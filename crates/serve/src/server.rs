@@ -31,13 +31,12 @@
 
 use crate::dedupe::{Claim, Inflight, JobCell};
 use crate::http::{self, ChunkedResponse, Request};
-use crate::json;
-use crate::spec::RunSpec;
 use crate::store::{valid_key, ResultStore};
+use droplet::obs::{json, lock_recover, wait_recover};
 use droplet::trace::SliceSource;
 use droplet::{
-    run_sweep, run_workload_with_stream, JobPool, RunResult, SpecError, SweepCell, SystemConfig,
-    TraceCache,
+    run_sweep, run_workload_with_stream, JobPool, RunResult, RunSpec, SpecError, SweepCell,
+    SystemConfig, TraceCache,
 };
 use droplet_graph::DatasetScale;
 use std::io;
@@ -45,8 +44,13 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
+use std::time::Duration;
+
+/// How long a connection may sit idle mid-request before the server
+/// drops it, so a silent client cannot pin a thread.
+const READ_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Server construction options.
 #[derive(Debug, Clone)]
@@ -112,12 +116,9 @@ impl Limiter {
     }
 
     fn acquire(&self) -> LimiterPermit<'_> {
-        let mut permits = self.permits.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut permits = lock_recover(&self.permits);
         while *permits == 0 {
-            permits = self
-                .freed
-                .wait(permits)
-                .unwrap_or_else(PoisonError::into_inner);
+            permits = wait_recover(&self.freed, permits);
         }
         *permits -= 1;
         LimiterPermit { limiter: self }
@@ -130,11 +131,7 @@ struct LimiterPermit<'a> {
 
 impl Drop for LimiterPermit<'_> {
     fn drop(&mut self) {
-        let mut permits = self
-            .limiter
-            .permits
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let mut permits = lock_recover(&self.limiter.permits);
         *permits += 1;
         drop(permits);
         self.limiter.freed.notify_one();
@@ -476,8 +473,9 @@ fn panic_message(panic: Box<dyn std::any::Any + Send>) -> String {
 
 /// Extracts the `"digest"` field from a canonical stored body.
 fn digest_of(body: &str) -> Option<u64> {
-    let tail = body.split("\"digest\": \"").nth(1)?;
-    u64::from_str_radix(tail.get(..16)?, 16).ok()
+    let members = json::split_top_level(body).ok()?;
+    let (_, raw) = members.into_iter().find(|(k, _)| k == "digest")?;
+    u64::from_str_radix(&json::scalar(raw)?, 16).ok()
 }
 
 fn error_body(e: &SpecError) -> String {
@@ -718,6 +716,9 @@ pub fn spawn(options: ServerOptions) -> io::Result<ServerHandle> {
                 break;
             }
             let Ok(conn) = conn else { continue };
+            if conn.set_read_timeout(Some(READ_TIMEOUT)).is_err() {
+                continue;
+            }
             let state = Arc::clone(&accept_state);
             std::thread::spawn(move || {
                 if let Err(e) = handle_connection(&state, conn) {

@@ -3,12 +3,16 @@
 //! live epoch streaming, and fork-shared sweeps.
 
 use droplet::experiments::ExperimentCtx;
+use droplet::obs::json;
 use droplet::run_workload;
 use droplet_graph::DatasetScale;
 use droplet_serve::http::{header, request};
 use droplet_serve::{spawn, RunSpec, ServerOptions};
+use std::io::{ErrorKind, Read, Write};
+use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
+use std::time::Duration;
 
 const SPEC: &str = r#"{"algo": "pr", "dataset": "kron", "scale": "tiny", "prefetcher": "droplet", "budget": 30000}"#;
 
@@ -26,16 +30,11 @@ fn boot(store_dir: Option<PathBuf>) -> droplet_serve::ServerHandle {
     .expect("bind test server")
 }
 
+/// A top-level scalar member of a JSON body, as text.
 fn field(body: &str, name: &str) -> String {
-    let tail = body
-        .split(&format!("\"{name}\": "))
-        .nth(1)
-        .unwrap_or_else(|| panic!("body has no field {name}: {body}"));
-    tail.trim_start_matches('"')
-        .split(['"', ',', '}'])
-        .next()
-        .unwrap()
-        .to_string()
+    let members = json::split_top_level(body).unwrap_or_else(|e| panic!("{e}: {body}"));
+    let raw = members.iter().find(|(k, _)| k == name).map(|(_, raw)| *raw);
+    json::scalar(raw.unwrap_or_else(|| panic!("body has no field {name}: {body}"))).unwrap()
 }
 
 /// N concurrent identical submissions: exactly one engine run, every
@@ -254,5 +253,40 @@ fn healthz_and_stats_answer() {
     }
     let (status, _, _) = request(&addr, "GET", "/nope", "").unwrap();
     assert_eq!(status, 404);
+    server.shutdown();
+}
+
+/// Over-cap requests — an endless header line, too many headers — lose
+/// their connection at once (well inside the server's idle timeout), never
+/// get a 200, and never take the server down.
+#[test]
+fn oversized_requests_are_refused_and_the_server_survives() {
+    let server = boot(None);
+    let addr = server.addr_string();
+    let endless = [
+        b"GET /healthz HTTP/1.1\r\nX-Big: ".to_vec(),
+        vec![b'a'; 1 << 20],
+    ]
+    .concat();
+    let headers = |n| format!("GET /healthz HTTP/1.1\r\n{}\r\n", "X-A: 1\r\n".repeat(n));
+    // (request, answered): 100 headers is the cap itself and still served.
+    for (req, answered) in [
+        (endless, false),
+        (headers(101).into_bytes(), false),
+        (headers(100).into_bytes(), true),
+    ] {
+        let mut conn = TcpStream::connect(&addr).unwrap();
+        conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        // The server may reset the connection mid-write; only its answer matters.
+        let _ = conn.write_all(&req);
+        let mut reply = Vec::new();
+        let read = conn.read_to_end(&mut reply);
+        let timed_out =
+            read.is_err_and(|e| matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut));
+        assert!(!timed_out, "the server kept an over-cap request open");
+        assert_eq!(reply.starts_with(b"HTTP/1.1 200"), answered);
+    }
+    let (status, _, body) = request(&addr, "GET", "/healthz", "").unwrap();
+    assert_eq!((status, body.as_str()), (200, "ok\n"));
     server.shutdown();
 }
