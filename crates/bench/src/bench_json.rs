@@ -114,7 +114,10 @@ mod tests {
         write_section(&path, "s\"x", &value).unwrap();
 
         let text = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(text, "{\n  \"s\\\"x\": {\"a\": 1, \"b\\\"c\": \"v\\n\"}\n}\n");
+        assert_eq!(
+            text,
+            "{\n  \"s\\\"x\": {\"a\": 1, \"b\\\"c\": \"v\\n\"}\n}\n"
+        );
         let parts = json::split_top_level(&text).unwrap();
         assert_eq!(parts, vec![("s\"x".to_string(), value.as_str())]);
         std::fs::remove_dir_all(&dir).unwrap();
