@@ -34,10 +34,10 @@ fn usage() -> ! {
          \x20 droplet-sim trace save --algo <...> --dataset <...> [--scale <...>] [--budget <ops>]\n\
          \x20                   --trace-file <artifact.dcol>\n\
          \x20 droplet-sim trace load --algo <...> --dataset <...> [--scale <...>] [--budget <ops>]\n\
-         \x20                   --trace-file <artifact.dcol> [--prefetcher <...>]\n\
+         \x20                   --trace-file <artifact.dcol> [--prefetcher <...>] [--obs <journal.jsonl>]\n\
          \x20 droplet-sim info\n\
          \x20 --threads overrides DROPLET_THREADS (default: all cores; 1 = fully serial)\n\
-         \x20 --obs enables epoch sampling and writes the JSONL run journal there\n\
+         \x20 --obs enables epoch sampling and writes the JSONL run journal there (run, trace load)\n\
          \x20 --epoch-ops sets retired ops per epoch (default 10000; implies sampling was wanted)\n\
          \x20 --fork-sweep/--no-fork: share one warm-up simulation across same-hierarchy configs\n\
          \x20   (default: on for multi-config invocations; results are bit-identical either way)\n\
@@ -108,8 +108,22 @@ fn parse_flags(rest: &[String]) -> (RunSpec, Args) {
             },
         }
     }
-    let spec = spec.finish(DatasetScale::Small).unwrap_or_else(|_| usage());
+    let mut spec = spec.finish(DatasetScale::Small).unwrap_or_else(|_| usage());
+    if args.obs_path.is_some() {
+        spec.epoch_ops.get_or_insert(10_000);
+    }
     (spec, args)
+}
+
+/// Rejects `--obs` on a command that simulates no single configuration
+/// to journal, instead of accepting it and writing nothing.
+fn refuse_obs(cmd: &str, args: &Args) {
+    if args.obs_path.is_some() {
+        eprintln!(
+            "error: --obs: not supported by `{cmd}` (only `run` and `trace load` write a journal)"
+        );
+        usage()
+    }
 }
 
 /// Prints the shared-warm-up NOTE when any of the runs was forked from a
@@ -239,6 +253,9 @@ fn cmd_trace(sub: &str, spec: &RunSpec, args: &Args) {
     let Some(file) = &args.trace_file else {
         usage()
     };
+    if sub == "save" {
+        refuse_obs("trace save", args);
+    }
     let ctx = ExperimentCtx::at(spec.scale).with_budget(spec.budget);
     let workload = spec.workload();
     eprintln!("building {} at {:?} scale...", workload.label(), spec.scale);
@@ -285,6 +302,9 @@ fn cmd_trace(sub: &str, spec: &RunSpec, args: &Args) {
             );
             let r = run_workload_from(&mut source, &bundle, &spec.config(&ctx.base), ctx.warmup);
             report(&format!("{} (columnar replay)", spec.prefetcher.name()), &r);
+            if let Some(path) = &args.obs_path {
+                write_journal(path, &r, &workload.label(), &ctx);
+            }
         }
         _ => usage(),
     }
@@ -301,9 +321,9 @@ fn main() {
             cmd_trace(sub, &spec, &args);
         }
         "run" | "sweep" => {
-            let (mut spec, args) = parse_flags(&argv[2..]);
-            if args.obs_path.is_some() {
-                spec.epoch_ops.get_or_insert(10_000);
+            let (spec, args) = parse_flags(&argv[2..]);
+            if cmd == "sweep" {
+                refuse_obs("sweep", &args);
             }
             let mut ctx = ExperimentCtx::at(spec.scale).with_budget(spec.budget);
             if let Some(n) = args.threads {
