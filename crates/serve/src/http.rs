@@ -8,6 +8,7 @@
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
+use std::time::{Duration, Instant};
 
 /// Largest accepted request body; experiment specs are a few hundred
 /// bytes, so anything bigger is a client error, not a workload.
@@ -33,6 +34,29 @@ fn read_line_capped(reader: &mut impl BufRead, line: &mut String) -> io::Result<
     Ok(n)
 }
 
+/// A [`TcpStream`] reader that fails with [`io::ErrorKind::TimedOut`] once
+/// `deadline` has passed. Each read waits at most until the deadline, so
+/// a client that keeps sending a byte at a time still runs out of time.
+struct DeadlineReader<'a> {
+    stream: &'a TcpStream,
+    deadline: Instant,
+}
+
+impl Read for DeadlineReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let left = self.deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(io::Error::new(
+                io::ErrorKind::TimedOut,
+                "request not received in time",
+            ));
+        }
+        let mut stream = self.stream;
+        stream.set_read_timeout(Some(left))?;
+        stream.read(buf)
+    }
+}
+
 /// A parsed request: method, decoded path, query pairs, body.
 #[derive(Debug)]
 pub struct Request {
@@ -56,10 +80,14 @@ impl Request {
     }
 }
 
-/// Reads one request from `stream`. Returns `None` on a clean EOF before
-/// any bytes (client connected and left), an error description otherwise.
-pub fn read_request(stream: &TcpStream) -> io::Result<Option<Request>> {
-    let mut reader = BufReader::new(stream.try_clone()?);
+/// Reads one request from `stream`, which must arrive whole within
+/// `timeout`. Returns `None` on a clean EOF before any bytes (client
+/// connected and left), an error description otherwise.
+pub fn read_request(stream: &TcpStream, timeout: Duration) -> io::Result<Option<Request>> {
+    let mut reader = BufReader::new(DeadlineReader {
+        stream,
+        deadline: Instant::now() + timeout,
+    });
     let mut line = String::new();
     if read_line_capped(&mut reader, &mut line)? == 0 {
         return Ok(None);

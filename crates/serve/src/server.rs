@@ -48,8 +48,9 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// How long a connection may sit idle mid-request before the server
-/// drops it, so a silent client cannot pin a thread.
+/// How long a client may take to send its whole request before the
+/// server drops the connection, so neither a silent client nor one that
+/// dribbles bytes can pin a thread.
 const READ_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Server construction options.
@@ -599,7 +600,7 @@ fn handle_sweep(state: &Arc<ServerState>, req: &Request, stream: &mut TcpStream)
 }
 
 fn handle_connection(state: &Arc<ServerState>, mut stream: TcpStream) -> io::Result<()> {
-    let Some(req) = http::read_request(&stream)? else {
+    let Some(req) = http::read_request(&stream, READ_TIMEOUT)? else {
         return Ok(());
     };
     match (req.method.as_str(), req.path.as_str()) {
@@ -716,9 +717,6 @@ pub fn spawn(options: ServerOptions) -> io::Result<ServerHandle> {
                 break;
             }
             let Ok(conn) = conn else { continue };
-            if conn.set_read_timeout(Some(READ_TIMEOUT)).is_err() {
-                continue;
-            }
             let state = Arc::clone(&accept_state);
             std::thread::spawn(move || {
                 if let Err(e) = handle_connection(&state, conn) {

@@ -290,3 +290,40 @@ fn oversized_requests_are_refused_and_the_server_survives() {
     assert_eq!((status, body.as_str()), (200, "ok\n"));
     server.shutdown();
 }
+
+/// A client that sends its request a byte every half second never trips
+/// a per-read timeout, so only a deadline on the whole request frees its
+/// connection thread: it is dropped about 10 s in, never answered.
+#[test]
+fn dribbling_client_is_disconnected_at_the_request_deadline() {
+    let server = boot(None);
+    let mut conn = TcpStream::connect(server.addr_string()).unwrap();
+    conn.set_read_timeout(Some(Duration::from_secs(25)))
+        .unwrap();
+    let mut writer = conn.try_clone().unwrap();
+    let start = std::time::Instant::now();
+    let dribbler = std::thread::spawn(move || {
+        let req = b"GET /healthz HTTP/1.1\r\nX-Slow: "
+            .iter()
+            .chain(&[b'a'; 100]);
+        for &byte in req {
+            if writer.write_all(&[byte]).is_err() {
+                return;
+            }
+            std::thread::sleep(Duration::from_millis(500));
+        }
+    });
+    let mut reply = Vec::new();
+    let read = conn.read_to_end(&mut reply);
+    let waited = start.elapsed();
+    let timed_out =
+        read.is_err_and(|e| matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut));
+    assert!(!timed_out, "the server kept a dribbling request open");
+    assert!(reply.is_empty(), "a partial request got an answer");
+    assert!(waited < Duration::from_secs(15), "dropped after {waited:?}");
+    drop(conn);
+    dribbler.join().unwrap();
+    let (status, _, _) = request(&server.addr_string(), "GET", "/healthz", "").unwrap();
+    assert_eq!(status, 200);
+    server.shutdown();
+}
